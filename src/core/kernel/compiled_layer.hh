@@ -57,8 +57,8 @@ namespace eie::core::kernel {
  *    when CompileOptions::compressed_stream asks for it.
  *  - Compressed: the CompressedSliceStream per tile slice is the
  *    *only* resident form (~1-2 bytes per entry); every runBatch
- *    decodes tile-granular chunks into scratch and all variants
- *    resolve to KernelVariant::Compressed.
+ *    decodes it block by block straight into the MAC and all
+ *    variants resolve to KernelVariant::Compressed.
  *  - Auto: per layer, Compressed when the estimated decoded
  *    footprint exceeds kAutoResidencyCompressBytes (the decoded
  *    stack would spill the last-level cache anyway, so decode ALU
@@ -170,7 +170,8 @@ struct CompiledSlice
 
     /** The compressed-resident form (CompileOptions::compressed_stream
      *  or Residency::Compressed): 4-bit codebook nibbles + Huffman
-     *  row deltas, decoded per runBatch into scratch. */
+     *  row deltas, walked per runBatch by the fused compressed
+     *  kernel. */
     CompressedSliceStream compressed;
 
     /** @name Simulator stream (only with CompileOptions::sim_stream).

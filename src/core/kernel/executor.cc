@@ -1,7 +1,10 @@
 #include "core/kernel/executor.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
+#include <type_traits>
 
 #include "common/fixed_point.hh"
 #include "common/logging.hh"
@@ -197,7 +200,19 @@ macRowAvx512(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
         v = _mm512_min_epi32(_mm512_max_epi32(v, vlo), vhi);
         _mm512_storeu_si512(reinterpret_cast<void *>(acc + b), v);
     }
-    macRowScalar(acc + b, act + b, w, shift, lo, hi, n - b);
+    if (b < n) {
+        // The ragged tail in one masked op; masked-off lanes are
+        // neither read nor written.
+        const __mmask16 mask =
+            static_cast<__mmask16>((1u << (n - b)) - 1);
+        const __m512i va = _mm512_maskz_loadu_epi32(mask, act + b);
+        const __m512i vacc = _mm512_maskz_loadu_epi32(mask, acc + b);
+        __m512i v = _mm512_add_epi32(
+            vacc,
+            _mm512_sra_epi32(_mm512_mullo_epi32(vw, va), vshift));
+        v = _mm512_min_epi32(_mm512_max_epi32(v, vlo), vhi);
+        _mm512_mask_storeu_epi32(acc + b, mask, v);
+    }
 }
 
 __attribute__((target("avx2"))) void
@@ -220,16 +235,122 @@ macRowAvx2(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
         v = _mm256_min_epi32(_mm256_max_epi32(v, vlo), vhi);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + b), v);
     }
-    macRowScalar(acc + b, act + b, w, shift, lo, hi, n - b);
+    if (b < n) {
+        // The ragged tail in one masked op; masked-off lanes are
+        // neither read nor written.
+        const __m256i mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(n - b)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        const __m256i va = _mm256_maskload_epi32(act + b, mask);
+        const __m256i vacc = _mm256_maskload_epi32(acc + b, mask);
+        __m256i v = _mm256_add_epi32(
+            vacc,
+            _mm256_sra_epi32(_mm256_mullo_epi32(vw, va), vshift));
+        v = _mm256_min_epi32(_mm256_max_epi32(v, vlo), vhi);
+        _mm256_maskstore_epi32(acc + b, mask, v);
+    }
 }
 
 #endif // EIE_KERNEL_X86
 
-/** The dispatched MAC row kernel and the ISA label BENCH files
- *  stamp for it — one selection site, so they cannot drift. */
+/**
+ * The nonzero columns of one decoded compressed block, for a MAC
+ * block kernel: columns cols[0..n_cols) (tile-relative, ascending,
+ * all inside the block), whose entries sit at PE-local rows
+ * prefix[e + 1 - entry_begin] - prefix[s - entry_begin] - 1 for
+ * column start s, weights through their nibbles, MACed into the
+ * dense accumulators with each column's activations from @ref act.
+ */
+struct MacBlock
+{
+    std::int32_t *acc;
+    std::size_t batch;
+    const std::int32_t *act; ///< the panel: cols x batch
+    const std::uint32_t *cols;
+    std::size_t n_cols;
+    const std::uint32_t *col_ptr;
+    const std::uint64_t *prefix;
+    std::uint32_t entry_begin;
+    const std::uint8_t *nibbles;
+    const std::int32_t *lut;
+    std::uint64_t n_pe;
+    std::uint64_t pe;
+    int shift;
+    std::int32_t lo;
+    std::int32_t hi;
+};
+
+/** The fused compressed walk's vector MAC: one dispatched call per
+ *  block, so the row kernel inlines into the entry loop instead of
+ *  costing an indirect call per entry. */
+using MacBlockFn = void (*)(const MacBlock &block);
+
+template <typename RowFn>
+[[gnu::always_inline]] inline void
+macBlockWith(const RowFn &row_fn, const MacBlock &b)
+{
+    // Locals, not b's fields: the int32 accumulator stores could
+    // alias them and force a reload per entry.
+    std::int32_t *const acc = b.acc;
+    const std::size_t batch = b.batch;
+    const std::uint32_t *const cp = b.col_ptr;
+    const std::uint8_t *const nibbles = b.nibbles;
+    const std::int32_t *const lut = b.lut;
+    const std::uint64_t n_pe = b.n_pe;
+    const std::uint64_t pe = b.pe;
+    const int shift = b.shift;
+    const std::int32_t lo = b.lo;
+    const std::int32_t hi = b.hi;
+    for (std::size_t q = 0; q < b.n_cols; ++q) {
+        const std::uint32_t j = b.cols[q];
+        const std::int32_t *const act = b.act + j * batch;
+        const std::uint64_t *pre = b.prefix + (cp[j] - b.entry_begin);
+        const std::uint64_t base = pre[0] + 1;
+        const std::uint32_t e_end = cp[j + 1];
+        for (std::uint32_t e = cp[j]; e < e_end; ++e) {
+            const std::uint64_t row = (*++pre - base) * n_pe + pe;
+            const std::int32_t w =
+                lut[(nibbles[e / 2] >> ((e % 2) * 4)) & 0xf];
+            row_fn(acc + row * batch, act, w, shift, lo, hi, batch);
+        }
+    }
+}
+
+void
+macBlockScalar(const MacBlock &block)
+{
+    macBlockWith(macRowScalar, block);
+}
+
+#if defined(EIE_KERNEL_X86)
+
+__attribute__((target("sse4.1"))) void
+macBlockSse41(const MacBlock &block)
+{
+    macBlockWith(macRowSse41, block);
+}
+
+__attribute__((target("avx512f,avx512bw"))) void
+macBlockAvx512(const MacBlock &block)
+{
+    macBlockWith(macRowAvx512, block);
+}
+
+__attribute__((target("avx2"))) void
+macBlockAvx2(const MacBlock &block)
+{
+    macBlockWith(macRowAvx2, block);
+}
+
+#endif // EIE_KERNEL_X86
+
+/** The dispatched MAC row and block kernels and the ISA label BENCH
+ *  files stamp for them — one selection site, so they cannot
+ *  drift. */
 struct MacRowKernel
 {
     MacRowFn fn;
+    MacBlockFn block;
     const char *isa;
 };
 
@@ -243,17 +364,18 @@ pickMacRow()
     // to the unchanged paths below (skip, not fail).
     if (__builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512f"))
-        return {macRowAvx512, "avx512"};
+        return {macRowAvx512, macBlockAvx512, "avx512"};
     if (__builtin_cpu_supports("avx2"))
-        return {macRowAvx2, "avx2"};
+        return {macRowAvx2, macBlockAvx2, "avx2"};
     if (__builtin_cpu_supports("sse4.1"))
-        return {macRowSse41, "sse4.1"};
+        return {macRowSse41, macBlockSse41, "sse4.1"};
 #endif
-    return {macRowScalar, "scalar"};
+    return {macRowScalar, macBlockScalar, "scalar"};
 }
 
 const MacRowKernel g_mac_row_kernel = pickMacRow();
 const MacRowFn g_mac_row = g_mac_row_kernel.fn;
+const MacBlockFn g_mac_block = g_mac_row_kernel.block;
 
 // ------------------------------------------------- slice inner loops
 
@@ -459,17 +581,17 @@ executeTiles(const CompiledLayer &layer, const Batch &inputs,
     }
 }
 
-/** Run @p run_pe over every PE slice, pooled when available. */
-template <typename RunPe>
+/** Run @p fn over indices [0, @p count), pooled when available. The
+ *  one place that decides how a tile's work spreads over the pool. */
+template <typename Fn>
 void
-forEachSlice(const CompiledTile &tile, WorkerPool *pool,
-             const RunPe &run_pe)
+forEachIndex(std::size_t count, WorkerPool *pool, const Fn &fn)
 {
     if (pool && pool->threads() > 1)
-        pool->parallelFor(tile.slices.size(), run_pe);
+        pool->parallelFor(count, fn);
     else
-        for (std::size_t k = 0; k < tile.slices.size(); ++k)
-            run_pe(k);
+        for (std::size_t i = 0; i < count; ++i)
+            fn(i);
 }
 
 /** The reference and fused variants: int64 accumulators, sparse
@@ -489,7 +611,7 @@ executeSparse(const CompiledLayer &layer, const Batch &inputs,
                                    layer.act_format);
                 return;
             }
-            forEachSlice(tile, pool, [&](std::size_t k) {
+            forEachIndex(tile.slices.size(), pool, [&](std::size_t k) {
                 runStreamReference(tile.slices[k].stream, panel, batch,
                                    acc, layer.weight_format,
                                    layer.act_format);
@@ -519,7 +641,7 @@ executeActSparse(const CompiledLayer &layer, const Batch &inputs,
                                    layer.act_format);
                 return;
             }
-            forEachSlice(tile, pool, [&](std::size_t k) {
+            forEachIndex(tile.slices.size(), pool, [&](std::size_t k) {
                 runStreamActSparse(tile.slices[k].stream, panel, batch,
                                    acc, layer.weight_format,
                                    layer.act_format);
@@ -544,7 +666,7 @@ executeVector(const CompiledLayer &layer, const Batch &inputs,
     executeTiles<std::int32_t>(
         layer, inputs, outputs, panel,
         [&](const CompiledTile &tile, std::int32_t *acc) {
-            forEachSlice(tile, pool, [&](std::size_t k) {
+            forEachIndex(tile.slices.size(), pool, [&](std::size_t k) {
                 runStreamVector(tile.slices[k].stream, panel, batch,
                                 acc, shift, lo, hi);
             });
@@ -573,22 +695,130 @@ withinActFormat(const Batch &inputs, const FixedFormat &fmt)
 }
 
 /**
- * The compressed variant: each tile slice is decoded on the fly from
- * its compressed-resident stream into a per-slice scratch SliceStream
- * and swept by the existing inner loops — the SIMD dense-batch MAC
- * when the call shape and formats allow it (the same gates runBatch
- * applies to the vector variant), the activation-sparse queue walk
- * everywhere else. The decoded scratch is definitionally identical to
- * the arrays compile() would have kept resident, and the sweeps are
- * the untouched vector/actsparse loops, so outputs are bit-exact with
- * every other variant; only the resident form (and the decode time,
- * reported through @p decode_us_out) differs.
- *
- * Scratch is one stream per PE slice, reused across tiles: slice k is
- * decoded and swept by exactly one worker per tile (forEachSlice
- * indexes are disjoint), so the buffers are race-free, stay
- * tile-sized (cache-resident for the plan's SRAM-scaled tiles) and
- * keep their capacity across column passes.
+ * Per-pass activation panel of the compressed variant's int64 path:
+ * the tile columns with at least one nonzero frame, ascending — the
+ * only columns the fused walk expands and MACs — and each one's
+ * nonzero (frame, value) pairs. At batch 1 it is exactly the
+ * actsparse queue.
+ */
+struct ColumnPanel
+{
+    std::vector<std::uint32_t> col;   ///< tile-relative column
+    std::vector<std::uint32_t> begin; ///< column q: [begin[q], begin[q+1])
+    std::vector<std::uint32_t> frame; ///< frame index of each slot
+    std::vector<std::int64_t> value;  ///< activation value of the slot
+
+    void
+    gather(const Batch &inputs, std::size_t col_begin,
+           std::size_t col_end)
+    {
+        col.clear();
+        frame.clear();
+        value.clear();
+        begin.assign(1, 0);
+        for (std::size_t j = col_begin; j < col_end; ++j) {
+            for (std::size_t b = 0; b < inputs.size(); ++b) {
+                const std::int64_t a = inputs[b][j];
+                if (a == 0)
+                    continue;
+                frame.push_back(static_cast<std::uint32_t>(b));
+                value.push_back(a);
+            }
+            if (frame.size() > begin.back()) {
+                col.push_back(static_cast<std::uint32_t>(j - col_begin));
+                begin.push_back(static_cast<std::uint32_t>(frame.size()));
+            }
+        }
+    }
+};
+
+/** DensePanel plus its nonzero columns, ascending, for the fused
+ *  walk's vector path. */
+struct DenseColumnPanel : DensePanel
+{
+    std::vector<std::uint32_t> col;
+
+    void
+    gather(const Batch &inputs, std::size_t col_begin,
+           std::size_t col_end)
+    {
+        DensePanel::gather(inputs, col_begin, col_end);
+        col.clear();
+        for (std::size_t j = 0; j < active.size(); ++j)
+            if (active[j])
+                col.push_back(static_cast<std::uint32_t>(j));
+    }
+};
+
+/**
+ * The fused walk of one tile: PE slices in pairs, each pair's
+ * bitstreams decoded block by block in lockstep (SliceWalker) and
+ * every block handed to @p consume(stream, k, block, cursor) while
+ * it is cache-hot. @p cursor is the slice's position in the panel's
+ * nonzero-column list, carried across its blocks. Pairs are
+ * disjoint PE slices, hence disjoint accumulator rows, so pooled
+ * pairs never race. Adds the pairs' decode time — table builds plus
+ * each block's entropy walk and range check, the clock read once at
+ * each decode/MAC boundary of a block pair — to @p decode_ns.
+ */
+template <typename Consume>
+void
+walkTile(const CompiledLayer &layer, const CompiledTile &tile,
+         WorkerPool *pool, std::atomic<std::int64_t> &decode_ns,
+         const Consume &consume)
+{
+    using Clock = std::chrono::steady_clock;
+    const std::size_t slices = tile.slices.size();
+    const auto run_pair = [&](std::size_t pair) {
+        const std::size_t ka = 2 * pair;
+        const std::size_t kb = ka + 1;
+        for (std::size_t k = ka; k < std::min(kb + 1, slices); ++k)
+            tile.slices[k].compressed.checkFits(SliceSlot{
+                tile.col_end - tile.col_begin, layer.n_pe,
+                static_cast<std::uint32_t>(k), tile.slices[k].local_rows,
+                layer.weight_format.minRaw(),
+                layer.weight_format.maxRaw()});
+        const CompressedSliceStream &sa = tile.slices[ka].compressed;
+        auto start = Clock::now();
+        SliceWalker a(sa);
+        std::optional<SliceWalker> b;
+        if (kb < slices)
+            b.emplace(tile.slices[kb].compressed);
+        std::size_t cursor_a = 0;
+        std::size_t cursor_b = 0;
+        Clock::duration decode{};
+        while (!a.done() || (b && !b->done())) {
+            SliceWalker::advance(a, b ? &*b : nullptr);
+            const auto decoded = Clock::now();
+            decode += decoded - start;
+            consume(sa, ka, a.block(), cursor_a);
+            if (b)
+                consume(tile.slices[kb].compressed, kb, b->block(),
+                        cursor_b);
+            start = Clock::now();
+        }
+        decode_ns.fetch_add(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(decode)
+                .count(),
+            std::memory_order_relaxed);
+    };
+    forEachIndex((slices + 1) / 2, pool, run_pair);
+}
+
+/**
+ * The compressed variant: the fused compressed kernel. Each tile
+ * slice's bitstream is walked one column block at a time and each
+ * block feeds the saturating MAC right away — the SIMD dense-batch
+ * MAC row from batch 2 when the formats and inputs allow it (the
+ * vector variant's 32-bit-lane gates), the int64 scalar MAC at batch
+ * 1 and everywhere else. Only columns with a nonzero frame are
+ * expanded and MACed; every column is still entropy-walked (the
+ * bitstream is serial) and range-checked (SliceWalker checks whole
+ * blocks), so a corrupt row throws whether or not its activation is
+ * zero. Per accumulator the MAC order is columns ascending, passes
+ * ascending — the reference sequence — so outputs are bit-exact with
+ * every other variant. The walk's decode time is reported through
+ * @p decode_us_out (see DispatchInfo::decode_us).
  */
 void
 executeCompressed(const CompiledLayer &layer, const Batch &inputs,
@@ -596,52 +826,120 @@ executeCompressed(const CompiledLayer &layer, const Batch &inputs,
                   double *decode_us_out)
 {
     const std::size_t batch = inputs.size();
-    std::vector<SliceStream> scratch(layer.n_pe);
+    const std::uint64_t n_pe = layer.n_pe;
     std::atomic<std::int64_t> decode_ns{0};
+    const int shift = 2 * static_cast<int>(layer.weight_format.fracBits) -
+        static_cast<int>(layer.act_format.fracBits);
 
-    const auto decode_slice =
-        [&](const CompiledTile &tile,
-            std::size_t k) -> const SliceStream & {
-        const auto start = std::chrono::steady_clock::now();
-        tile.slices[k].compressed.decode(scratch[k]);
-        decode_ns.fetch_add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count(),
-            std::memory_order_relaxed);
-        return scratch[k];
-    };
-
-    if (vectorEligible(layer) && batch >= kVectorAutoBatch &&
+    // SIMD lanes from batch 2: the walk is shared by the batch, so
+    // the per-frame int64 MAC is all that batching adds, and the
+    // masked-tail lanes beat it (the decoded variants' Auto switches
+    // only at kVectorAutoBatch). Batch 1 keeps the scalar MAC.
+    if (vectorEligible(layer) && batch >= 2 &&
         withinActFormat(inputs, layer.act_format)) {
-        const int shift =
-            2 * static_cast<int>(layer.weight_format.fracBits) -
-            static_cast<int>(layer.act_format.fracBits);
         const auto lo =
             static_cast<std::int32_t>(layer.act_format.minRaw());
         const auto hi =
             static_cast<std::int32_t>(layer.act_format.maxRaw());
-        DensePanel panel;
+        DenseColumnPanel panel;
         executeTiles<std::int32_t>(
             layer, inputs, outputs, panel,
             [&](const CompiledTile &tile, std::int32_t *acc) {
-                forEachSlice(tile, pool, [&](std::size_t k) {
-                    runStreamVector(decode_slice(tile, k), panel,
-                                    batch, acc, shift, lo, hi);
+                walkTile(layer, tile, pool, decode_ns,
+                         [&](const CompressedSliceStream &stream,
+                             std::size_t k, const DecodedBlock &block,
+                             std::size_t &q) {
+                    const std::size_t q_begin = q;
+                    while (q < panel.col.size() &&
+                           panel.col[q] < block.col_end)
+                        ++q;
+                    g_mac_block(MacBlock{acc, batch, panel.value.data(),
+                                         panel.col.data() + q_begin,
+                                         q - q_begin,
+                                         stream.col_ptr.data(),
+                                         block.prefix,
+                                         block.entry_begin,
+                                         stream.nibbles.data(),
+                                         stream.weight_lut.data(), n_pe,
+                                         k, shift, lo, hi});
                 });
             });
     } else {
-        QueuePanel panel;
-        executeTiles<std::int64_t>(
-            layer, inputs, outputs, panel,
-            [&](const CompiledTile &tile, std::int64_t *acc) {
-                forEachSlice(tile, pool, [&](std::size_t k) {
-                    runStreamActSparse(decode_slice(tile, k), panel,
-                                       batch, acc,
-                                       layer.weight_format,
-                                       layer.act_format);
+        // The int64 path: macFixed() arithmetic with its shift and
+        // saturation bounds hoisted, one slot per nonzero (column,
+        // frame). One loop body, instantiated twice: at batch 1 every
+        // column has exactly one slot, frame 0, so the frame loop and
+        // its indirection drop out (measured ~10% of the Alex-6/7/8
+        // batch-1 sweep).
+        const std::int64_t lo = layer.act_format.minRaw();
+        const std::int64_t hi = layer.act_format.maxRaw();
+        ColumnPanel panel;
+        const auto run = [&](auto one_frame) {
+            constexpr bool kOneFrame = decltype(one_frame)::value;
+            executeTiles<std::int64_t>(
+                layer, inputs, outputs, panel,
+                [&](const CompiledTile &tile, std::int64_t *acc) {
+                    walkTile(layer, tile, pool, decode_ns,
+                             [&](const CompressedSliceStream &stream,
+                                 std::size_t k, const DecodedBlock &block,
+                                 std::size_t &q) {
+                        // Locals, not captures: the int64 accumulator
+                        // stores could alias them and force reloads.
+                        const std::uint32_t *cp = stream.col_ptr.data();
+                        const std::uint8_t *nib = stream.nibbles.data();
+                        const std::int32_t *lut =
+                            stream.weight_lut.data();
+                        const std::uint32_t *frame = panel.frame.data();
+                        const std::int64_t *value = panel.value.data();
+                        const std::uint64_t stride = n_pe;
+                        const std::size_t lanes = kOneFrame ? 1 : batch;
+                        const auto mac = [sh = shift, lo, hi](
+                                             std::int64_t sum,
+                                             std::int64_t w,
+                                             std::int64_t a) {
+                            const std::int64_t product = w * a;
+                            sum += sh >= 0 ? product >> sh
+                                           : product << -sh;
+                            return sum > hi ? hi : sum < lo ? lo : sum;
+                        };
+                        for (; q < panel.col.size() &&
+                             panel.col[q] < block.col_end;
+                             ++q) {
+                            const std::uint32_t j = panel.col[q];
+                            const std::uint32_t f_begin = panel.begin[q];
+                            const std::uint32_t f_end =
+                                panel.begin[q + 1];
+                            [[maybe_unused]] const std::int64_t a =
+                                value[f_begin];
+                            const std::uint64_t *pre = block.prefix +
+                                (cp[j] - block.entry_begin);
+                            const std::uint64_t base = pre[0] + 1;
+                            for (std::uint32_t e = cp[j]; e < cp[j + 1];
+                                 ++e) {
+                                std::int64_t *acc_row = acc +
+                                    ((*++pre - base) * stride + k) *
+                                        lanes;
+                                const std::int64_t w =
+                                    lut[(nib[e / 2] >> ((e % 2) * 4)) &
+                                        0xf];
+                                if constexpr (kOneFrame) {
+                                    *acc_row = mac(*acc_row, w, a);
+                                } else {
+                                    for (std::uint32_t f = f_begin;
+                                         f < f_end; ++f)
+                                        acc_row[frame[f]] =
+                                            mac(acc_row[frame[f]], w,
+                                                value[f]);
+                                }
+                            }
+                        }
+                    });
                 });
-            });
+        };
+        if (batch == 1)
+            run(std::true_type{});
+        else
+            run(std::false_type{});
     }
     if (decode_us_out)
         *decode_us_out =

@@ -5,11 +5,13 @@
  * One sweep over the compressed columns is amortized across the whole
  * batch. The inner loop is selected by KernelVariant (see
  * variant.hh): the scalar sparse-gather reference walk, the SIMD
- * dense-batch vector MAC, the slice-fused serial stream, or the
+ * dense-batch vector MAC, the slice-fused serial stream, the
  * activation-sparse queue walk (a front-end nonzero scan compresses
  * each frame into a compact (column, value) queue — the paper's
  * NZ-detect stage — and the inner loop touches only nonzero
- * columns). Every
+ * columns), or the fused compressed kernel (compressed-resident
+ * streams decoded block by block straight into the MAC, skipping
+ * the MAC of all-zero columns). Every
  * variant preserves the exact per-accumulator update sequence of the
  * scalar interpreter (passes, then columns, then at most one entry
  * per accumulator per column; a zero activation contributes a zero
@@ -58,10 +60,17 @@ struct DispatchInfo
     KernelVariant variant = KernelVariant::Auto; ///< executed variant
     double act_density = -1.0; ///< sampled nonzero fraction, <0 unknown
 
-    /** Time this sweep spent decoding compressed-resident streams
-     *  into scratch, microseconds (0 for every other variant). Summed
-     *  across worker threads, so it is decode CPU time, not added
-     *  wall-clock. */
+    /**
+     * Decode time of the compressed variant's fused walk,
+     * microseconds (0 for every other variant): the decoder-table
+     * builds, the entropy walk and the row reconstruction and range
+     * check of every column block — not the MAC that consumes each
+     * block. The clock is read once per decode/MAC boundary of a
+     * slice pair's block pair (~2K entries per slice), never per
+     * column. Nonzero for every compressed sweep, since every column
+     * is walked whatever the activations. Summed across worker
+     * threads, so it is decode CPU time, not added wall-clock.
+     */
     double decode_us = 0.0;
 };
 

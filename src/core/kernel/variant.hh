@@ -31,15 +31,18 @@
  *    nothing, so batch-1 latency scales with activation density
  *    instead of layer width. Works for every format (int64 scalar
  *    MAC, like reference) and any thread count.
- *  - "compressed": the decode-on-the-fly path over the
+ *  - "compressed": the fused compressed kernel over the
  *    compressed-resident streams (compressed_stream.hh). Each tile
- *    slice is expanded into a small thread-local scratch stream and
- *    swept by the existing vector/actsparse inner loops, so outputs
- *    stay bit-exact while the resident form is the 4-bit nibble +
- *    Huffman row-delta stream. Requires the layer to carry the
- *    compressed stream (CompileOptions::compressed_stream or
- *    compressed residency); a compressed-resident layer resolves
- *    every request to this variant — it is the only executable form.
+ *    slice is walked one L1-sized column block at a time, two slices
+ *    in lockstep, and every block feeds the saturating MAC at once
+ *    (the SIMD batch MAC row or the int64 scalar MAC); columns that
+ *    are zero in every frame are walked and range-checked but never
+ *    expanded or MACed. Outputs stay bit-exact while the resident
+ *    form is the 4-bit nibble + Huffman row-delta stream. Requires
+ *    the layer to carry the compressed stream
+ *    (CompileOptions::compressed_stream or compressed residency); a
+ *    compressed-resident layer resolves every request to this
+ *    variant — it is the only executable form.
  *  - "auto": the fastest variant that is bit-exact for the layer's
  *    formats and the call's batch/thread shape; the default
  *    everywhere. When the caller supplies a measured activation

@@ -1,6 +1,7 @@
 #include "core/kernel/worker_pool.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace eie::core::kernel {
 
@@ -41,7 +42,16 @@ WorkerPool::drain(const std::function<void(std::size_t)> &fn,
                 return;
             index = next_index_++;
         }
-        fn(index);
+        try {
+            fn(index);
+        } catch (...) {
+            // Keep the first error for the caller and stop handing
+            // out indices; helpers must not let it escape their loop.
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!error_)
+                error_ = std::current_exception();
+            next_index_ = count;
+        }
     }
 }
 
@@ -72,6 +82,8 @@ WorkerPool::parallelFor(std::size_t count,
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [this] { return active_ == 0; });
     job_ = nullptr;
+    if (error_)
+        std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 void

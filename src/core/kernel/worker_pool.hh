@@ -15,6 +15,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -46,7 +47,9 @@ class WorkerPool
     /**
      * Run fn(i) for every i in [0, count). The caller participates;
      * indices are claimed dynamically so unbalanced PE slices spread
-     * across workers. Returns when every index has finished.
+     * across workers. Returns when every index has finished. If fn
+     * throws, no further indices start and the first exception is
+     * rethrown here once the running ones have finished.
      */
     void parallelFor(std::size_t count,
                      const std::function<void(std::size_t)> &fn);
@@ -70,6 +73,7 @@ class WorkerPool
     std::uint64_t generation_ = 0;
     unsigned active_ = 0;
     bool stop_ = false;
+    std::exception_ptr error_; ///< first exception of the job
 };
 
 } // namespace eie::core::kernel

@@ -44,8 +44,9 @@ struct LayerDispatch
     std::string residency;
     std::uint64_t decoded_bytes = 0;    ///< resident decoded stream bytes
     std::uint64_t compressed_bytes = 0; ///< resident compressed bytes
-    /** Decode CPU time this call spent expanding compressed-resident
-     *  streams into scratch, microseconds (0 on decoded residency). */
+    /** Decode CPU time of this call's fused compressed walk,
+     *  microseconds (0 on decoded residency); see
+     *  core::kernel::DispatchInfo::decode_us. */
     double decode_us = 0.0;
 };
 

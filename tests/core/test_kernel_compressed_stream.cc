@@ -9,6 +9,13 @@
  * decoder's survival property against corrupt model bytes, mirroring
  * the wire codec's garbage-frame fuzz in tests/serve/test_wire.cc;
  * tools/check.sh runs it under ASan.
+ *
+ * Every fuzzed stream also runs through the fused compressed kernel
+ * (runBatch with KernelVariant::Compressed, batch 1 and batch 9): it
+ * must throw exactly when the unfused path (checkFits + decode())
+ * does, and otherwise match the reference sweep of the decoded
+ * stream bit for bit. The fused walk skips the MAC of zero-activation
+ * columns, never their range check.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +24,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/functional.hh"
 #include "core/kernel/compiled_layer.hh"
 #include "core/kernel/compressed_stream.hh"
+#include "core/kernel/executor.hh"
+#include "core/kernel/worker_pool.hh"
 #include "core/plan.hh"
 #include "helpers.hh"
 
@@ -26,8 +36,12 @@ namespace {
 
 using namespace eie;
 
+using core::kernel::Batch;
+using core::kernel::CompiledLayer;
 using core::kernel::CompressedSliceStream;
 using core::kernel::CompressedStreamError;
+using core::kernel::KernelVariant;
+using core::kernel::SliceSlot;
 using core::kernel::SliceStream;
 
 /** Every compressed tile slice of a representative layer (built side
@@ -78,9 +92,10 @@ TEST(CompressedStream, RoundTripsEveryCompiledSlice)
                 slice->stream.weights.size() * sizeof(std::int32_t) +
                 slice->stream.col_ptr.size() * sizeof(std::uint32_t) +
                 slice->stream.packed.size() * sizeof(std::uint32_t);
-            if (slice->compressed.entry_count > 64)
+            if (slice->compressed.entry_count > 64) {
                 EXPECT_LT(slice->compressed.byteSize(),
                           decoded_bytes);
+            }
         }
     }
 }
@@ -173,18 +188,95 @@ splitmix(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-/** Decode must finish or throw the typed error; anything else
- *  (crash, sanitizer trip, other exception type) fails the test. */
-void
-decodeOrTypedThrow(const CompressedSliceStream &stream,
-                   SliceStream &scratch)
+/** The tile slot slice @p k of tile (0, 0) of @p layer sits in. */
+SliceSlot
+slotOf(const CompiledLayer &layer, std::size_t k)
 {
-    try {
-        stream.decode(scratch);
-        // Landing on another valid stream is fine; crashing is not.
-    } catch (const CompressedStreamError &) {
-        // The typed rejection path: also fine.
+    const auto &tile = layer.tiles[0][0];
+    return SliceSlot{tile.col_end - tile.col_begin, layer.n_pe,
+                     static_cast<std::uint32_t>(k),
+                     tile.slices[k].local_rows,
+                     layer.weight_format.minRaw(),
+                     layer.weight_format.maxRaw()};
+}
+
+/** Batch-1 and batch-9 frames at the paper's 35% activations: zero
+ *  columns for the fused walk to skip, and both MAC paths (the
+ *  int64 latency loop and the SIMD batch loop). */
+std::vector<Batch>
+fuzzBatches(const CompiledLayer &layer)
+{
+    core::EieConfig config;
+    config.n_pe = layer.n_pe;
+    const core::FunctionalModel model(config);
+    std::vector<Batch> batches;
+    for (const std::size_t batch : {1u, 9u}) {
+        Batch frames;
+        for (std::size_t b = 0; b < batch; ++b)
+            frames.push_back(model.quantizeInput(test::randomActivations(
+                layer.input_size, 0.35, 900 + 11 * b)));
+        batches.push_back(std::move(frames));
     }
+    return batches;
+}
+
+/**
+ * Put @p candidate at slice @p k of tile (0, 0) of @p layer (a
+ * decoded + compressed dual form) and run it down both paths. The
+ * unfused path throws when decode() or checkFits throws, each run on
+ * its own; the fused path is runBatch with the compressed variant.
+ * Each must throw CompressedStreamError exactly when the other
+ * does — anything else (a crash, a sanitizer trip, another exception
+ * type) fails the test — and when neither throws, the fused outputs
+ * must equal the reference sweep over the decoded stream. @p layer
+ * is restored before returning.
+ */
+void
+expectSameVerdicts(CompiledLayer &layer, std::size_t k,
+                   const CompressedSliceStream &candidate,
+                   const std::vector<Batch> &batches)
+{
+    auto &slice = layer.tiles[0][0].slices[k];
+    // decode() runs on every candidate, fitting or not, so the
+    // walker's own header and structure checks stay fuzzed.
+    SliceStream decoded;
+    bool unfused_threw = false;
+    try {
+        candidate.decode(decoded);
+    } catch (const CompressedStreamError &) {
+        unfused_threw = true;
+    }
+    try {
+        candidate.checkFits(slotOf(layer, k));
+    } catch (const CompressedStreamError &) {
+        unfused_threw = true;
+    }
+
+    const CompressedSliceStream clean_compressed = slice.compressed;
+    const SliceStream clean_stream = slice.stream;
+    slice.compressed = candidate;
+    if (!unfused_threw)
+        slice.stream = decoded;
+    for (const Batch &frames : batches) {
+        bool fused_threw = false;
+        Batch fused;
+        try {
+            fused = core::kernel::runBatch(layer, frames, nullptr,
+                                           KernelVariant::Compressed);
+        } catch (const CompressedStreamError &) {
+            fused_threw = true;
+        }
+        EXPECT_EQ(fused_threw, unfused_threw)
+            << "batch " << frames.size() << ", slice " << k;
+        if (!fused_threw && !unfused_threw) {
+            EXPECT_EQ(fused,
+                      core::kernel::runBatch(layer, frames, nullptr,
+                                             KernelVariant::Reference))
+                << "batch " << frames.size() << ", slice " << k;
+        }
+    }
+    slice.compressed = clean_compressed;
+    slice.stream = clean_stream;
 }
 
 TEST(CompressedStreamFuzz, SeededMutationsOfValidStreamsFailTyped)
@@ -195,11 +287,15 @@ TEST(CompressedStreamFuzz, SeededMutationsOfValidStreamsFailTyped)
     // perturbed scalar header fields, truncations and extensions.
     // Seeded, so a failure reproduces exactly.
     std::uint64_t rng = 0xc0dec0dec0dec0deull;
-    const auto compiled = compileWithCompressed(7);
+    auto compiled = compileWithCompressed(7);
+    ASSERT_EQ(compiled.tiles.size(), 1u);
+    ASSERT_EQ(compiled.tiles[0].size(), 1u);
+    const auto batches = fuzzBatches(compiled);
     SliceStream scratch;
 
-    for (const auto *slice : compiledSlices(compiled)) {
-        const CompressedSliceStream &clean = slice->compressed;
+    for (std::size_t k = 0; k < compiled.n_pe; ++k) {
+        const CompressedSliceStream clean =
+            compiled.tiles[0][0].slices[k].compressed;
         ASSERT_NO_THROW(clean.decode(scratch));
 
         for (int round = 0; round < 200; ++round) {
@@ -281,7 +377,7 @@ TEST(CompressedStreamFuzz, SeededMutationsOfValidStreamsFailTyped)
                     break;
                 }
             }
-            decodeOrTypedThrow(mutated, scratch);
+            expectSameVerdicts(compiled, k, mutated, batches);
         }
     }
 }
@@ -293,7 +389,10 @@ TEST(CompressedStreamFuzz, PureGarbageStreamsFailTyped)
     // cannot allocate absurdly (decode validates entry_count against
     // the nibble array and column extents before any array walk).
     std::uint64_t rng = 0x5eed5eed5eed5eedull;
-    SliceStream scratch;
+    auto compiled = compileWithCompressed(7);
+    ASSERT_EQ(compiled.tiles.size(), 1u);
+    ASSERT_EQ(compiled.tiles[0].size(), 1u);
+    const auto batches = fuzzBatches(compiled);
     for (int round = 0; round < 400; ++round) {
         CompressedSliceStream garbage;
         garbage.n_pe = static_cast<std::uint32_t>(splitmix(rng) % 6);
@@ -333,7 +432,101 @@ TEST(CompressedStreamFuzz, PureGarbageStreamsFailTyped)
         for (unsigned v = 0; v < 16; ++v)
             garbage.weight_lut[v] =
                 static_cast<std::int32_t>(splitmix(rng));
-        decodeOrTypedThrow(garbage, scratch);
+        const std::size_t k = static_cast<std::size_t>(round) %
+            compiled.n_pe;
+        expectSameVerdicts(compiled, k, garbage, batches);
+
+        // The same garbage with a header that fits its slot, so the
+        // fused path gets past checkFits to the walk itself.
+        const SliceSlot slot = slotOf(compiled, k);
+        CompressedSliceStream slotted = garbage;
+        slotted.n_pe = slot.n_pe;
+        slotted.pe = slot.pe;
+        slotted.local_rows = slot.local_rows;
+        slotted.col_ptr.resize(slot.cols + 1);
+        if (garbage.col_ptr.size() > 1 &&
+            garbage.col_ptr.front() == 0 &&
+            garbage.col_ptr.back() == garbage.entry_count) {
+            slotted.col_ptr.front() = 0;
+            slotted.col_ptr.back() = garbage.entry_count;
+        }
+        for (std::int32_t &value : slotted.weight_lut)
+            value = static_cast<std::int32_t>(
+                slot.weight_min +
+                static_cast<std::int64_t>(
+                    static_cast<std::uint32_t>(value) %
+                    static_cast<std::uint64_t>(slot.weight_max -
+                                               slot.weight_min + 1)));
+        expectSameVerdicts(compiled, k, slotted, batches);
+    }
+}
+
+TEST(CompressedStreamFuzz, CorruptRowInZeroColumnStillThrows)
+{
+    // A row delta corrupted in one column only, and that column zero
+    // in every frame: the fused walk skips the column's MAC but must
+    // not skip its range check.
+    auto compiled = compileWithCompressed(7);
+    const auto &tile = compiled.tiles[0][0];
+    const std::size_t k = 1;
+    const CompressedSliceStream clean = tile.slices[k].compressed;
+
+    // The slice's padding-stripped image, rebuilt from its decode.
+    SliceStream decoded;
+    clean.decode(decoded);
+    compress::DecodedSliceImage image;
+    image.col_ptr = decoded.col_ptr;
+    std::vector<std::int64_t> raw_lut(clean.weight_lut.begin(),
+                                      clean.weight_lut.end());
+    for (std::uint32_t e = 0; e < clean.entry_count; ++e) {
+        image.local_rows.push_back(
+            (decoded.rows[e] - clean.pe) / clean.n_pe);
+        image.weight_indices.push_back(static_cast<std::uint8_t>(
+            (clean.nibbles[e / 2] >> ((e % 2) * 4)) & 0xf));
+    }
+    // Push the last row of the first non-empty column one past the
+    // slice: still ascending, so encode() accepts it.
+    std::size_t bad_col = 0;
+    while (image.col_ptr[bad_col + 1] == image.col_ptr[bad_col])
+        ++bad_col;
+    image.local_rows[image.col_ptr[bad_col + 1] - 1] = clean.local_rows;
+    const CompressedSliceStream corrupt = CompressedSliceStream::encode(
+        image, raw_lut, clean.n_pe, clean.pe, clean.local_rows);
+    SliceStream scratch;
+    EXPECT_THROW(corrupt.decode(scratch), CompressedStreamError);
+
+    // Frames dense everywhere except the corrupt column.
+    core::EieConfig config;
+    config.n_pe = compiled.n_pe;
+    const core::FunctionalModel model(config);
+    const std::size_t bad_input = tile.col_begin + bad_col;
+    std::vector<Batch> batches;
+    for (const std::size_t batch : {1u, 9u}) {
+        Batch frames;
+        for (std::size_t b = 0; b < batch; ++b) {
+            frames.push_back(model.quantizeInput(test::randomActivations(
+                compiled.input_size, 1.0, 70 + b)));
+            frames.back()[bad_input] = 0;
+        }
+        batches.push_back(std::move(frames));
+    }
+
+    core::kernel::WorkerPool pool(3);
+    for (core::kernel::WorkerPool *p :
+         {static_cast<core::kernel::WorkerPool *>(nullptr), &pool}) {
+        for (const Batch &frames : batches) {
+            // Clean stream: runs. Corrupt stream: throws, serial or
+            // pooled (the pool hands the error back to the caller).
+            EXPECT_NO_THROW(core::kernel::runBatch(
+                compiled, frames, p, KernelVariant::Compressed));
+            compiled.tiles[0][0].slices[k].compressed = corrupt;
+            EXPECT_THROW(core::kernel::runBatch(compiled, frames, p,
+                                                KernelVariant::Compressed),
+                         CompressedStreamError)
+                << "batch " << frames.size() << ", "
+                << (p ? "pooled" : "serial");
+            compiled.tiles[0][0].slices[k].compressed = clean;
+        }
     }
 }
 

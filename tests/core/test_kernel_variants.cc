@@ -267,7 +267,8 @@ TEST(KernelVariants, SaturationBoundaryBitExactAcrossVariants)
 TEST(KernelVariants, IneligibleFormatsFallBackBitExact)
 {
     // A negative shift-and-add alignment keeps "vector" out; Auto
-    // must route around it and stay bit-exact.
+    // must route around it and stay bit-exact, and the compressed
+    // kernel must take its int64 batch MAC.
     core::EieConfig config;
     config.n_pe = 4;
     config.weight_format = FixedFormat{16, 6};
@@ -275,8 +276,10 @@ TEST(KernelVariants, IneligibleFormatsFallBackBitExact)
     const auto layer = test::randomCompressedLayer(64, 48, 0.3, 4, 41);
     const auto plan =
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
+    core::kernel::CompileOptions options;
+    options.compressed_stream = true;
     const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config);
+        core::kernel::CompiledLayer::compile(plan, config, options);
     ASSERT_FALSE(core::kernel::vectorEligible(compiled));
     EXPECT_EQ(core::kernel::resolveKernelVariant(KernelVariant::Auto,
                                                  compiled, 64, 1),
@@ -294,7 +297,7 @@ TEST(KernelVariants, IneligibleFormatsFallBackBitExact)
 
     for (const KernelVariant kernel :
          {KernelVariant::Auto, KernelVariant::Reference,
-          KernelVariant::Fused}) {
+          KernelVariant::Fused, KernelVariant::Compressed}) {
         const auto outputs =
             core::kernel::runBatch(compiled, frames, nullptr, kernel);
         for (std::size_t b = 0; b < frames.size(); ++b)
@@ -309,14 +312,17 @@ TEST(KernelVariants, OutOfFormatActivationsFallBackToReference)
     // remote client can submit values outside act_format. The vector
     // variant's 32-bit lanes cannot represent them; runBatch must
     // demote to the reference loop (same defined int64 semantics as
-    // the scalar oracle), not crash or wrap.
+    // the scalar oracle), not crash or wrap. The compressed kernel
+    // likewise takes its int64 MAC.
     core::EieConfig config;
     config.n_pe = 4;
     const auto layer = test::randomCompressedLayer(64, 48, 0.3, 4, 71);
     const auto plan =
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
+    core::kernel::CompileOptions options;
+    options.compressed_stream = true;
     const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config);
+        core::kernel::CompiledLayer::compile(plan, config, options);
     const core::FunctionalModel model(config);
 
     core::kernel::Batch frames;
@@ -330,7 +336,9 @@ TEST(KernelVariants, OutOfFormatActivationsFallBackToReference)
     for (const auto &frame : frames)
         reference.push_back(model.run(plan, frame).output_raw);
 
-    for (const KernelVariant kernel : kAllVariants) {
+    std::vector<KernelVariant> kernels = kAllVariants;
+    kernels.push_back(KernelVariant::Compressed);
+    for (const KernelVariant kernel : kernels) {
         const auto outputs =
             core::kernel::runBatch(compiled, frames, nullptr, kernel);
         for (std::size_t b = 0; b < frames.size(); ++b)
@@ -600,6 +608,129 @@ TEST(KernelVariants, CompressedBitExactAcrossDensitySweep)
                         << " residency, batch " << frames.size()
                         << ", " << (p ? "pooled" : "serial")
                         << ", frame " << b;
+            }
+        }
+    }
+}
+
+/** Whether some column of @p stream has a row gap of at least 255
+ *  (or a first row at 255 or past it): the escape-coded deltas. */
+bool
+hasEscapedDelta(const core::kernel::SliceStream &stream, unsigned n_pe)
+{
+    for (std::size_t j = 0; j + 1 < stream.col_ptr.size(); ++j) {
+        std::int64_t prev = -1;
+        for (std::uint32_t e = stream.col_ptr[j];
+             e < stream.col_ptr[j + 1]; ++e) {
+            const std::int64_t local = stream.rows[e] / n_pe;
+            if (local - prev - 1 >= 255)
+                return true;
+            prev = local;
+        }
+    }
+    return false;
+}
+
+TEST(KernelVariants, CompressedFusedWalkEdgeCases)
+{
+    // The fused walk's shape edges, compressed-resident, serial and
+    // pooled: PE counts whose two-slice interleave leaves an odd
+    // slice over (1, 3) or many pairs (64); rows < n_pe, so empty
+    // slices sit next to non-empty ones; local rows past 255, so the
+    // escape runs inside the walk; a saturating layer; and at batch
+    // 1 an all-zero and a fully dense frame, plus ragged batches
+    // either side of the vector path.
+    struct Case
+    {
+        const char *what;
+        std::size_t rows, cols;
+        double density; ///< < 0: the saturating layer
+        unsigned n_pe;
+        unsigned regfile_entries; ///< rows per PE per row batch
+    };
+    const std::vector<Case> cases{
+        {"1 PE, 600 rows (escapes)", 600, 40, 0.004, 1, 1024},
+        {"3 PEs, 5 row batches", 97, 50, 0.2, 3, 8},
+        {"64 PEs, 40 rows (empty slices)", 40, 70, 0.15, 64, 64},
+        {"64 PEs, 1000 rows", 1000, 64, 0.1, 64, 64},
+        {"4 PEs, saturating", 8, 16, -1.0, 4, 64},
+    };
+    core::kernel::WorkerPool pool(3);
+    core::kernel::CompileOptions resident;
+    resident.residency = core::kernel::Residency::Compressed;
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        core::EieConfig config;
+        config.n_pe = c.n_pe;
+        config.regfile_entries = c.regfile_entries;
+        const bool saturating = c.density < 0.0;
+        const auto layer = saturating
+            ? saturatingLayer(c.rows, c.cols, c.n_pe, 100.0f)
+            : test::randomCompressedLayer(c.rows, c.cols, c.density,
+                                          c.n_pe, 300 + c.rows);
+        const auto plan = core::planLayer(
+            layer,
+            saturating ? nn::Nonlinearity::None : nn::Nonlinearity::ReLU,
+            config);
+        const core::FunctionalModel model(config);
+        const auto compiled =
+            core::kernel::CompiledLayer::compile(plan, config, resident);
+        ASSERT_FALSE(compiled.has_host_stream);
+
+        // The case must exercise what it is named for.
+        std::size_t empty = 0, non_empty = 0;
+        bool escaped = false;
+        for (const auto &batch_tiles : compiled.tiles)
+            for (const auto &tile : batch_tiles)
+                for (const auto &slice : tile.slices) {
+                    (slice.compressed.entry_count == 0 ? empty
+                                                       : non_empty)++;
+                    core::kernel::SliceStream decoded;
+                    slice.compressed.decode(decoded);
+                    escaped |= hasEscapedDelta(decoded, c.n_pe);
+                }
+        ASSERT_GT(non_empty, 0u);
+        if (c.n_pe == 64 && plan.output_size < 64) {
+            EXPECT_GT(empty, 0u);
+        }
+        if (c.n_pe == 1) {
+            EXPECT_TRUE(escaped);
+        }
+        if (c.regfile_entries == 8) {
+            EXPECT_EQ(compiled.tiles.size(), 5u);
+        }
+
+        const std::size_t cols = plan.input_size;
+        std::vector<core::kernel::Batch> batches{
+            {std::vector<std::int64_t>(cols, 0)},
+            {model.quantizeInput(test::randomActivations(cols, 1.0, 5))},
+        };
+        for (const std::size_t batch : {1u, 3u, 5u, 9u, 16u}) {
+            core::kernel::Batch frames;
+            for (std::size_t b = 0; b < batch; ++b)
+                frames.push_back(model.quantizeInput(
+                    test::randomActivations(cols, 0.35, 40 + 7 * b)));
+            batches.push_back(std::move(frames));
+        }
+        for (const auto &frames : batches) {
+            core::kernel::Batch reference;
+            for (const auto &frame : frames)
+                reference.push_back(model.run(plan, frame).output_raw);
+            for (core::kernel::WorkerPool *p :
+                 {static_cast<core::kernel::WorkerPool *>(nullptr),
+                  &pool}) {
+                core::kernel::DispatchInfo info;
+                const auto outputs = core::kernel::runBatch(
+                    compiled, frames, p, KernelVariant::Auto, &info);
+                EXPECT_EQ(info.variant, KernelVariant::Compressed);
+                // Every slice pair is timed, whatever the activations.
+                EXPECT_GT(info.decode_us, 0.0);
+                ASSERT_EQ(outputs.size(), frames.size());
+                for (std::size_t b = 0; b < frames.size(); ++b)
+                    EXPECT_EQ(outputs[b], reference[b])
+                        << "batch " << frames.size() << ", "
+                        << (p ? "pooled" : "serial") << ", frame " << b;
             }
         }
     }

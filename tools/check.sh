@@ -11,9 +11,9 @@
 # full run already covered it. A Release variant-matrix smoke then
 # drives eie_sim through every kernel variant (--kernel
 # reference|vector|fused|actsparse, plus compressed in both
-# --residency modes) in both the batched-throughput and the serving
-# path, each checked bit-exact against the scalar oracle by the tool
-# itself.
+# --residency modes, and Alex-7 compressed at 35% activations) in
+# both the batched-throughput and the serving path, each checked
+# bit-exact against the scalar oracle by the tool itself.
 #
 # The telemetry subsystem (src/obs/: metrics registry, histogram
 # quantiles, tracing, the stats/metrics JSON schema pin) likewise
@@ -30,7 +30,8 @@
 # fails the check even when the race never corrupts an assertion.
 #
 # A fourth pass rebuilds the robustness suites — wire-frame fuzz,
-# HTTP-parser fuzz, compressed-stream fuzz, fault injection, retry,
+# HTTP-parser fuzz, compressed-stream fuzz and the fused compressed
+# walk's edge cases (test_kernel_variants), fault injection, retry,
 # model-file corruption, tenant-config parsing — under
 # Address+UndefinedBehavior sanitizers (-DEIE_ASAN=ON) so a decoder
 # overread or UB on a garbage frame, corrupt weight stream or
@@ -86,6 +87,10 @@ for residency in decoded compressed; do
     ./build-check-release/eie_sim --serve 24 --benchmark NT-We \
         --kernel compressed --residency "${residency}"
 done
+# A 4096-column layer through the fused compressed walk and its
+# zero-activation column skip, checked against the scalar oracle.
+./build-check-release/eie_sim --throughput 16 --benchmark Alex-7 \
+    --kernel compressed --residency compressed --act-density 0.35
 
 echo "=== ThreadSanitizer (kernel + engine + server + cluster + \
 client) ==="
@@ -111,8 +116,8 @@ ctest --test-dir "${tsan_dir}" --output-on-failure \
 echo "=== Address+UB sanitizers (wire fuzz + faults + model file) ==="
 asan_dir="build-check-asan"
 asan_tests="test_wire test_model_file test_registry test_faults \
-test_retry test_client test_kernel_compressed_stream test_http \
-test_tenants"
+test_retry test_client test_kernel_compressed_stream \
+test_kernel_variants test_http test_tenants"
 cmake -B "${asan_dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEIE_ASAN=ON "$@"
 cmake --build "${asan_dir}" -j "${jobs}" \
